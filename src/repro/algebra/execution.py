@@ -331,16 +331,17 @@ class PlanExecutor:
         # route through execute() and thus the batch memo
         return ColumnBatch.from_relation(self._execute(plan))
 
-    def _scan_batch(self, plan: ViewScan) -> ColumnBatch:
+    def _view_batch(self, plan: ViewScan | IndexScan) -> ColumnBatch:
+        """The scanned view's extent as a batch — one cached transpose per
+        extent, shared by every scan of it."""
         try:
             view = self._views[plan.view_name]
         except KeyError as exc:
             raise PlanExecutionError(f"unknown view {plan.view_name!r}") from exc
-        # attached shared extents expose a lazily-decoding column batch; any
-        # other view store goes through .relation (one cached transpose)
-        base = getattr(view, "column_batch", None)
-        if base is None:
-            base = ColumnBatch.from_relation(view.relation)
+        return ColumnBatch.from_relation(view.relation)
+
+    def _scan_batch(self, plan: ViewScan | IndexScan) -> ColumnBatch:
+        base = self._view_batch(plan)
         alias = plan.effective_alias
         columns = [column.renamed(f"{alias}.{column.name}") for column in base.columns]
         sorted_by = None
@@ -352,20 +353,13 @@ class PlanExecutor:
         """Scan + pushed σ: probe the column's value index, gather positions.
 
         The index is cached on the *base* batch's column source (shared
-        across queries through the per-relation batch cache / the attached
-        extent), built lazily on this first probe or decoded from the blob
-        the extent store published.  An unindexable column falls back to
-        the selection kernel over the same source — identical rows either
-        way.  Probe positions come back ascending, so the Dewey-order
-        annotation survives exactly as it does for a filter.
+        across queries through the per-relation batch cache), built lazily
+        on the first probe.  An unindexable column falls back to the
+        selection kernel over the same source — identical rows either way.
+        Probe positions come back ascending, so the Dewey-order annotation
+        survives exactly as it does for a filter.
         """
-        try:
-            view = self._views[plan.view_name]
-        except KeyError as exc:
-            raise PlanExecutionError(f"unknown view {plan.view_name!r}") from exc
-        base = getattr(view, "column_batch", None)
-        if base is None:
-            base = ColumnBatch.from_relation(view.relation)
+        base = self._view_batch(plan)
         source = base.source(base.column_index(plan.base_column))
         from repro.views.indexes import index_for_source
 
@@ -374,12 +368,8 @@ class PlanExecutor:
             keep = index.probe(plan.formula)
         else:
             keep = kernels.selection_indices(source.values(), plan.formula)
-        alias = plan.effective_alias
-        columns = [column.renamed(f"{alias}.{column.name}") for column in base.columns]
-        sorted_by = None
-        if base.sorted_by is not None:
-            sorted_by = f"{alias}.{base.sorted_by}"
-        return base.with_schema(columns, sorted_by).gather(keep, sorted_by=sorted_by)
+        scanned = self._scan_batch(plan)
+        return scanned.gather(keep, sorted_by=scanned.sorted_by)
 
     def _batch_keys(self, batch: ColumnBatch, index: int) -> list:
         """Cached Dewey component keys, error-wrapped like :meth:`_as_dewey`."""

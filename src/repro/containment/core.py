@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -157,7 +158,9 @@ def merge_containment_delta(
 # --------------------------------------------------------------------------- #
 # deadlines
 # --------------------------------------------------------------------------- #
-_deadline: Optional[float] = None
+_deadline: ContextVar[Optional[float]] = ContextVar(
+    "containment_deadline", default=None
+)
 
 
 @contextmanager
@@ -170,20 +173,22 @@ def containment_deadline(deadline: Optional[float]):
     (patterns with many optional edges have exponentially many canonical
     trees, so an uninterruptible test would defeat any search time budget).
     Aborted tests are not memoised.  Nested deadlines keep the tighter one.
+    The deadline is a context variable, so it is per thread: one thread
+    entering or leaving a deadline never changes another thread's.
     """
-    global _deadline
-    previous = _deadline
+    previous = _deadline.get()
     if deadline is not None and previous is not None:
         deadline = min(deadline, previous)
-    _deadline = deadline if deadline is not None else previous
+    token = _deadline.set(deadline if deadline is not None else previous)
     try:
         yield
     finally:
-        _deadline = previous
+        _deadline.reset(token)
 
 
 def _check_deadline() -> None:
-    if _deadline is not None and time.perf_counter() > _deadline:
+    deadline = _deadline.get()
+    if deadline is not None and time.perf_counter() > deadline:
         raise ContainmentBudgetExceeded(
             "containment test aborted: caller's time budget exhausted"
         )
@@ -287,7 +292,8 @@ def _containment_decision_uncached(
         return ContainmentDecision(False, failure)
 
     checked = 0
-    for tree in iter_canonical_model(contained, summary, deadline=_deadline):
+    deadline = _deadline.get()
+    for tree in iter_canonical_model(contained, summary, deadline=deadline):
         checked += 1
         _check_deadline()
         if max_trees is not None and checked > max_trees:
@@ -297,7 +303,7 @@ def _containment_decision_uncached(
         # the deadline must tick *inside* the evaluation too: one decorated
         # evaluation over an adversarial (pattern, tree) pair can cost more
         # than every other step of the test combined
-        tick = _check_deadline if _deadline is not None else None
+        tick = _check_deadline if deadline is not None else None
         left_tuples = evaluate_node_tuples(
             contained, tree.root, EmbeddingMode.DECORATED, tick=tick
         )
@@ -389,10 +395,11 @@ def _is_contained_in_union_uncached(
     )
     stripped = [_strip_predicates(container) for container in eligible]
     container_models: Optional[list[list[CanonicalTree]]] = None
+    deadline = _deadline.get()
 
-    for tree in iter_canonical_model(contained, summary, deadline=_deadline):
+    for tree in iter_canonical_model(contained, summary, deadline=deadline):
         _check_deadline()
-        tick = _check_deadline if _deadline is not None else None
+        tick = _check_deadline if deadline is not None else None
         left_tuples = evaluate_node_tuples(
             contained, tree.root, EmbeddingMode.DECORATED, tick=tick
         )
@@ -421,7 +428,7 @@ def _is_contained_in_union_uncached(
         # containers' canonical trees with the same return paths.
         if container_models is None:
             container_models = [
-                list(iter_canonical_model(container, summary, deadline=_deadline))
+                list(iter_canonical_model(container, summary, deadline=deadline))
                 for container in eligible
             ]
         same_return = []
@@ -437,7 +444,7 @@ def _is_contained_in_union_uncached(
 
 
 def _has_canonical_tree(pattern: TreePattern, summary: Summary) -> bool:
-    for _ in iter_canonical_model(pattern, summary, deadline=_deadline):
+    for _ in iter_canonical_model(pattern, summary, deadline=_deadline.get()):
         return True
     return False
 

@@ -4,14 +4,12 @@ For application code, :class:`repro.Database` is the canonical entry point
 these days — it owns the summary, the view catalog, the planner and the
 executor, and adds prepared queries, ``EXPLAIN`` and incremental view DDL
 on top of the machinery here.  ``Rewriter`` remains fully supported as the
-rewriting-layer internal (and for code that genuinely only rewrites, never
-executes); only the all-in-one :meth:`Rewriter.answer` shortcut is
-deprecated in favour of ``Database.query``.
+rewriting-layer internal (and for code that genuinely only rewrites);
+:meth:`repro.planning.planner.Planner.answer` plans and executes over it.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.algebra.execution import PlanExecutor
@@ -29,28 +27,9 @@ from repro.views.store import ViewSet
 from repro.views.view import MaterializedView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.rewriting.batch import QueryExecution
     from repro.views.catalog import ViewCatalog
 
 __all__ = ["Rewriter", "RewriteOutcome"]
-
-_answer_deprecation_emitted = False
-
-
-def _warn_answer_deprecated() -> None:
-    """Emit the ``Rewriter.answer`` deprecation exactly once per process."""
-    global _answer_deprecation_emitted
-    if not _answer_deprecation_emitted:
-        _answer_deprecation_emitted = True
-        warnings.warn(
-            "Rewriter.answer() is deprecated as a public entry point; build a "
-            "repro.Database over your document and use db.query(...) / "
-            "db.prepare(...).run() instead (identical results, plus prepared "
-            "queries, EXPLAIN and incremental view DDL)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
 
 class RewriteOutcome:
     """All rewritings found for one query, plus the search statistics."""
@@ -123,7 +102,8 @@ class Rewriter:
     True
     >>> sorted(outcome.best.views_used)
     ['v']
-    >>> len(rewriter.answer(parse_pattern("site(//item[ID,V])", name="q")))
+    >>> from repro.planning.planner import Planner
+    >>> len(Planner(rewriter).answer(parse_pattern("site(//item[ID,V])", name="q")))
     2
     """
 
@@ -140,13 +120,12 @@ class Rewriter:
         self.use_catalog = use_catalog
         self._catalog: Optional["ViewCatalog"] = None
         self._catalog_version: Optional[int] = None
-        self._planner = None  # built lazily by answer(); caches its cost model
         self._batch_engine = None  # built lazily; reuses its catalog snapshot
         self.executor_strategy = "vectorized"
         """Which :class:`~repro.algebra.execution.PlanExecutor` strategy
-        :meth:`execute` (and the batch engine's workers) run plans under —
-        ``"vectorized"`` or the ``"tuple"`` oracle.  The planner keys its
-        cost model on this, so changing it re-prices plans to match."""
+        :meth:`execute` runs plans under — ``"vectorized"`` or the
+        ``"tuple"`` oracle.  The planner keys its cost model on this, so
+        changing it re-prices plans to match."""
 
     # ------------------------------------------------------------------ #
     @property
@@ -270,8 +249,7 @@ class Rewriter:
         queries: Iterable[TreePattern],
         config: Optional[RewritingConfig] = None,
         workers: int = 1,
-        execute: bool = False,
-    ) -> list[RewriteOutcome] | list["QueryExecution"]:
+    ) -> list[RewriteOutcome]:
         """Rewrite a whole workload, sharing preprocessing across queries.
 
         The catalog (summary index, per-view annotated candidate prototypes,
@@ -294,24 +272,17 @@ class Rewriter:
         wall-clock time-budget one).  A rewriter built with
         ``use_catalog=False`` has no snapshot for workers to share, so it
         always runs sequentially, whatever ``workers`` says.
-
-        With ``execute=True`` the chosen (minimum-cost) plan of every query
-        is additionally *executed* — in the workers, over the shared extent
-        store, when ``workers > 1`` — and the return value becomes a list of
-        :class:`~repro.rewriting.batch.QueryExecution` instead of outcomes.
-        Result rows are identical to the sequential path's; see the
-        :mod:`~repro.rewriting.batch` notes for how extents are shared.
         """
         queries = list(queries)
         from repro.rewriting.batch import BatchEngine, resolve_worker_count
 
-        if not execute and (workers == 1 or len(queries) <= 1):
+        if workers == 1 or len(queries) <= 1:
             return [self.rewrite(query, config) for query in queries]
         if self._batch_engine is None:
             self._batch_engine = BatchEngine(self, workers=workers)
         else:
             self._batch_engine.workers = resolve_worker_count(workers)
-        return self._batch_engine.run(queries, config, execute=execute)
+        return self._batch_engine.run(queries, config)
 
     def rewrite_first(
         self, query: TreePattern
@@ -326,38 +297,3 @@ class Rewriter:
         """Execute a rewriting's plan over the materialised views."""
         executor = PlanExecutor(self.views, executor=self.executor_strategy)
         return executor.execute(rewriting.plan)
-
-    def answer(self, query: TreePattern) -> Relation:
-        """Rewrite, pick the cheapest plan, and execute it.
-
-        .. deprecated::
-            ``answer`` predates the session layer; use
-            :class:`repro.Database` (``db.query(...)`` or
-            ``db.prepare(...).run()``) instead — same relation, computed
-            through the same planner, plus prepared-query reuse and
-            ``EXPLAIN``.  A single :class:`DeprecationWarning` is emitted
-            per process; the behaviour itself is unchanged.
-
-        Every rewriting found is lowered to a costed logical plan and the
-        minimum-cost one runs (see :class:`repro.planning.Planner`); the
-        seed behaviour of executing :attr:`RewriteOutcome.best` (the
-        fewest-views structural heuristic, blind to extent sizes) is gone.
-        All alternatives return the same relation — they are S-equivalent
-        — so only the execution cost changes.
-        """
-        _warn_answer_deprecated()
-        outcome = self.rewrite(query)
-        if not outcome.found:
-            raise RewritingError(
-                f"query {query.name!r} has no equivalent rewriting over "
-                f"views {sorted(self.views.names)}"
-            )
-        if self._planner is None:
-            from repro.planning.planner import Planner
-
-            # kept across calls: the planner caches its derived cost model
-            # keyed on (catalog identity, view-set version), so repeated
-            # answers do not rebuild statistics from scratch
-            self._planner = Planner(self)
-        ranked = self._planner.rank(outcome)
-        return self.execute(ranked[0].rewriting)

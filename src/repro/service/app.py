@@ -473,10 +473,6 @@ class ServiceApp:
         )
         for path, value in snapshot["maintenance"].items():
             maintenance.set(value, {"path": path})
-        gauge(
-            "service_extent_publishes",
-            "Shared-memory extent segment encodes (store lifetime).",
-        ).set(snapshot["extent_store"]["publish_count"])
         indexes = self.metrics.gauge(
             "service_index_operations",
             "Value-index operations (process lifetime).",

@@ -58,6 +58,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-query-service"
+    # headers and body go out in separate sends; with Nagle on, the body
+    # waits for the client's delayed ACK (~40 ms per keep-alive response)
+    disable_nagle_algorithm = True
 
     # the ThreadingHTTPServer subclass carries the app
     @property

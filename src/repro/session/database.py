@@ -26,10 +26,8 @@ single entry point so callers stop hand-wiring ``build_summary`` +
 * **batch service** — :meth:`Database.query_many` shards the rewriting
   phase over the :class:`~repro.rewriting.batch.BatchEngine`'s *persistent*
   worker pool, which survives across calls and is released by
-  :meth:`Database.close` (or the context manager); with ``execute=True``
-  the workers also run the chosen plans over the shared-memory
-  :class:`~repro.views.extent_store.ExtentStore` — end-to-end parallel
-  query answering;
+  :meth:`Database.close` (or the context manager); the chosen plans then
+  run in this process;
 * **plan cache** — :meth:`Database.query` consults a fingerprint-keyed
   :class:`PlanCache` (canonical pattern key → planned choice, invalidated
   on view DDL), so unprepared callers repeating a query skip the rewriting
@@ -65,9 +63,7 @@ from repro.xmltree.node import XMLDocument, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.rewriting.algorithm import RewritingConfig
-    from repro.rewriting.batch import QueryExecution
     from repro.rewriting.rewriter import RewriteOutcome
-    from repro.views.extent_store import ExtentStore
 
 __all__ = [
     "Database",
@@ -498,8 +494,8 @@ class Database:
         kernels, the default) or ``"tuple"`` (the row-at-a-time oracle).
 
         Assigning flips every execution site this session owns — one-shot
-        queries, prepared queries, ``EXPLAIN ANALYZE`` and the batch
-        engine's workers — and flushes the plan cache, because the cost
+        queries, prepared queries, :meth:`query_many` and ``EXPLAIN
+        ANALYZE`` — and flushes the plan cache, because the cost
         model prices kernel-backed operators differently per strategy.
         """
         return getattr(self._rewriter, "executor_strategy", "vectorized")
@@ -516,16 +512,6 @@ class Database:
         self._rewriter.executor_strategy = strategy
         # re-price: cached choices were costed under the other strategy
         self._plan_cache = PlanCache()
-
-    @property
-    def extent_store(self) -> Optional["ExtentStore"]:
-        """The shared extent store behind ``query_many(execute=True)``.
-
-        Owned by the batch engine; ``None`` until the first execute-mode
-        parallel batch publishes it, and released by :meth:`close`.
-        """
-        engine = self._rewriter._batch_engine
-        return engine.extent_store if engine is not None else None
 
     # ------------------------------------------------------------------ #
     # view DDL
@@ -692,7 +678,7 @@ class Database:
             ] += 1
             changed_views.append(view)
         # one version bump invalidates every consumer (plan cache, prepared
-        # queries, batch snapshot + pool, extent store guard) ...
+        # queries, batch snapshot + pool) ...
         self.views.touch()
         # ... and then the catalog refreshes against the *new* version:
         # statistics re-synced in place when the summary's shape and flags
@@ -950,7 +936,6 @@ class Database:
         queries: Iterable[TreePattern | str],
         workers: int = 1,
         config: Optional["RewritingConfig"] = None,
-        execute: bool = False,
     ) -> list[Relation]:
         """Answer a whole workload, in input order.
 
@@ -959,38 +944,17 @@ class Database:
         *persistent* process pool, which stays warm across calls until
         :meth:`close`.
 
-        ``execute`` picks where the chosen plans run.  With the default
-        ``execute=False`` they run sequentially in this process after the
-        parallel rewriting phase (the pre-extent-store behaviour).  With
-        ``execute=True`` the workers execute too: materialised extents are
-        published to shared memory once per view-set version
-        (:class:`~repro.views.extent_store.ExtentStore`) and each worker
-        rewrites, plans *and* runs its shard, streaming result rows back —
-        rows identical to the sequential path (content-reference cells come
-        back as rebuilt, ID-equal node copies rather than the live document
-        nodes).  Raises :class:`~repro.errors.RewritingError` on the first
-        query with no equivalent rewriting.
+        The chosen plans run in this process.  Raises
+        :class:`~repro.errors.RewritingError` on the first query with no
+        equivalent rewriting.
         """
         patterns = [self._as_pattern(query, None) for query in queries]
-        if execute:
-            executions = self._rewriter.rewrite_many(
-                patterns, config, workers=workers, execute=True
-            )
-            results = []
-            for pattern, execution in zip(patterns, executions):
-                if not execution.found:
-                    raise RewritingError(
-                        f"query {pattern.name!r} has no equivalent rewriting "
-                        f"over views {sorted(self.views.names)}"
-                    )
-                results.append(execution.result)
-            return results
-        # the sequential path consults the plan cache exactly like
-        # :meth:`query`: repeated workloads (benchmark reps, dashboard
-        # refreshes) skip the rewriting search for every query they have
-        # planned before at this view-set version.  With ``workers > 1``
-        # the batch engine is consulted unconditionally — keeping the
-        # persistent pool alive across calls is part of its contract
+        # the plan cache is consulted exactly like :meth:`query`: repeated
+        # workloads (benchmark reps, dashboard refreshes) skip the rewriting
+        # search for every query they have planned before at this view-set
+        # version.  With ``workers > 1`` the batch engine is consulted
+        # unconditionally — keeping the persistent pool alive across calls
+        # is part of its contract
         version = self.views.version
         fingerprints = [pattern_key(pattern) for pattern in patterns]
         cached: list[Optional[PlanChoice]]
@@ -1041,21 +1005,10 @@ class Database:
         queries: Iterable[TreePattern | str],
         workers: int = 1,
         config: Optional["RewritingConfig"] = None,
-        execute: bool = False,
-    ) -> list["RewriteOutcome"] | list["QueryExecution"]:
-        """Batch rewriting without execution (the Figure 15 measurement).
-
-        ``execute=True`` additionally runs each chosen plan (in the workers,
-        over the shared extent store, when ``workers > 1``) and returns
-        :class:`~repro.rewriting.batch.QueryExecution` objects — the
-        lower-level sibling of ``query_many(execute=True)`` that keeps the
-        per-query plan description and cost next to the result, instead of
-        raising on unanswerable queries.
-        """
+    ) -> list["RewriteOutcome"]:
+        """Batch rewriting without execution (the Figure 15 measurement)."""
         patterns = [self._as_pattern(query, None) for query in queries]
-        return self._rewriter.rewrite_many(
-            patterns, config, workers=workers, execute=execute
-        )
+        return self._rewriter.rewrite_many(patterns, config, workers=workers)
 
     # ------------------------------------------------------------------ #
     # observability
@@ -1065,17 +1018,15 @@ class Database:
 
         Collects every counter the layers already expose — plan-cache
         hit/miss/invalidation, live-document :attr:`maintenance_stats`,
-        shared-extent-store publish counts, value-index build/attach/probe
-        counts, worker-pool state — into a single plain dict, so monitoring
-        surfaces (above all the service tier's ``/metrics`` endpoint)
-        consume one stable shape instead of reaching into internals.
-        Purely a read: taking a snapshot never builds pools, publishes
-        extents or flushes caches.
+        value-index build/probe counts, worker-pool state — into a single
+        plain dict, so monitoring surfaces (above all the service tier's
+        ``/metrics`` endpoint) consume one stable shape instead of reaching
+        into internals.  Purely a read: taking a snapshot never builds
+        pools or flushes caches.
         """
         from repro.views.indexes import INDEX_STATS
 
         engine = self._rewriter._batch_engine
-        store = engine.extent_store if engine is not None else None
         return {
             "document": self._document.name if self._document else None,
             "summary": {
@@ -1093,10 +1044,6 @@ class Database:
             "maintenance_mode": self.maintenance,
             "plan_cache": self._plan_cache.info(),
             "maintenance": dict(self.maintenance_stats),
-            "extent_store": {
-                "published": store is not None,
-                "publish_count": store.publish_count if store is not None else 0,
-            },
             "indexes": INDEX_STATS.info(),
             "worker_pool": {
                 "active": engine is not None and engine._pool is not None,
@@ -1108,11 +1055,9 @@ class Database:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release pooled resources: the worker pool, the shared-memory
-        extent segments and the attached change log's file handle
-        (idempotent; the session stays usable — a later
-        ``query_many(workers=N)`` simply starts a fresh pool and, for
-        execute-mode batches, republishes the extents)."""
+        """Release pooled resources: the worker pool and the attached
+        change log's file handle (idempotent; the session stays usable — a
+        later ``query_many(workers=N)`` simply starts a fresh pool)."""
         self._rewriter.close()
         if self._change_log is not None:
             self._change_log.close()

@@ -54,7 +54,7 @@ class ViewSet:
         The live-document hook: a subtree insert or delete changes view
         *extents* (not the view set), but every consumer keyed on the
         version counter — plan cache, prepared queries, batch snapshots,
-        worker pools, the shared extent store — must still notice.  One
+        worker pools — must still notice.  One
         bump invalidates them all.
         """
         self._version += 1

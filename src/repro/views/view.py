@@ -148,9 +148,8 @@ class MaterializedView:
     def extent_version(self) -> int:
         """Bumps whenever the materialised extent changes (0 = never built).
 
-        The change detector behind the extent store's diff publishing: a
-        view whose extent version did not move between two publishes keeps
-        its shared-memory segment instead of being re-encoded.
+        The observable of :meth:`apply_delta`: a mutation that leaves this
+        view's extent untouched leaves the version where it was.
         """
         return getattr(self, "_extent_version", 0)
 

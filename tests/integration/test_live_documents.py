@@ -1,4 +1,4 @@
-"""Live documents end to end: durability, crash recovery, stale readers.
+"""Live documents end to end: durability, crash recovery, batch freshness.
 
 Three contracts from the streaming-ingestion layer, exercised at the
 session level:
@@ -11,11 +11,9 @@ session level:
   the last complete record; anything else — a flipped byte, a missing
   record — is a typed :class:`~repro.errors.ChangeLogCorruptError`, never a
   silently different database.
-* **Readers can't see the past.**  A shared-memory manifest published
-  before a document mutation fails to attach afterwards
-  (:class:`~repro.views.StaleExtentError`); the version-keyed pool path
-  (``query_many(execute=True)``) recycles on mutation exactly as it does
-  on DDL, so batch answers always reflect the live document.
+* **Batches see the live document.**  The version-keyed rewrite pool
+  behind ``query_many(workers=N)`` recycles on mutation exactly as it
+  does on DDL.
 
 The fig13-style check at the end replays an XMark session log and asserts
 the recovered database answers the workload queries row-identically.
@@ -35,7 +33,6 @@ from repro import (
     to_parenthesized,
 )
 from repro.algebra import Relation
-from repro.views.extent_store import AttachedExtents, StaleExtentError
 from repro.workloads.dblp import generate_dblp_document
 from repro.workloads.xmark import generate_xmark_document
 from repro.xmltree.ids import DeweyID
@@ -182,28 +179,20 @@ def test_missing_record_is_a_typed_error(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# stale readers and the pool path
+# the parallel batch path
 # --------------------------------------------------------------------------- #
-def test_mutation_supersedes_published_extents(tmp_path):
+def test_parallel_batch_answers_reflect_mutations():
     db = Database(parse_parenthesized(DOC_TEXT, name="live"))
     db.create_view(ITEM_QUERY, name="items")
     try:
-        before = db.query_many([ITEM_QUERY] * 2, workers=2, execute=True)
-        old_manifest = db.extent_store.manifest
-        published_before = db.extent_store.publish_count
+        before = db.query_many([ITEM_QUERY] * 2, workers=2)
         asia = db.document.nodes_on_path("/site/regions/asia")[0]
         db.insert_subtree(asia, XMLNode("item", None, [XMLNode("name", "fresh")]))
-        # the pool recycles on mutation exactly as on DDL: the batch answer
-        # reflects the live document, through a diff publish (one view
-        # re-encoded) under a fresh guard
-        after = db.query_many([ITEM_QUERY] * 2, workers=2, execute=True)
+        # the rewrite pool is keyed on the view-set version, which every
+        # mutation bumps: the next batch must answer over the live document
+        after = db.query_many([ITEM_QUERY] * 2, workers=2)
         assert len(after[0]) == len(before[0]) + 1
-        assert db.extent_store.publish_count == published_before + 1
-        with pytest.raises(StaleExtentError):
-            AttachedExtents.attach(old_manifest)
-        fresh = AttachedExtents.attach(db.extent_store.manifest)
-        assert fresh["items"].relation.same_contents(db.views["items"].relation)
-        fresh.close()
+        assert after[0].same_contents(db.query(ITEM_QUERY))
     finally:
         db.close()
 

@@ -4,7 +4,7 @@ Every rewriting of a query is S-equivalent to it, so every costed
 alternative must return the *same relation* when executed — cost-based
 selection may only ever change how fast an answer is computed, never the
 answer.  These tests execute all alternatives on materialised fixtures and
-compare contents, then pin down that ``Rewriter.answer`` now runs the
+compare contents, then pin down that ``Planner.answer`` runs the
 cheapest plan.
 """
 
@@ -66,7 +66,7 @@ def test_chosen_plan_matches_direct_evaluation(fixture):
     rewriter, planner = fixture
     query = parse_pattern("site(//item[ID,V])")
     result = planner.answer(query)
-    direct = rewriter.answer(query)
+    direct = rewriter.execute(planner.best_plan(query).rewriting)
     assert result.same_contents(direct)
     assert len(result) == 3  # three items in the fixture
 
@@ -78,7 +78,7 @@ def test_rewriter_answer_runs_the_cheapest_plan(fixture):
     # the single-scan plan must win against joins / unions on this fixture,
     # and answer() must produce exactly its result
     assert best.logical_plan.to_algebra().view_scan_count() == 1
-    assert rewriter.answer(query).same_contents(planner.execute(best))
+    assert planner.answer(query).same_contents(planner.execute(best))
 
 
 def test_plan_choice_reports_costs_for_every_alternative(fixture):

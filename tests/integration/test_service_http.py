@@ -101,6 +101,36 @@ def test_metrics_endpoint_serves_prometheus_text(client):
     assert "# TYPE service_requests_total counter" in text
 
 
+def test_keep_alive_requests_do_not_stall(service):
+    # headers and body of a reply are separate sends: with Nagle's
+    # algorithm on, each keep-alive reply waits ~40 ms for a delayed ACK
+    import http.client
+    import json
+    import time
+    from urllib.parse import urlsplit
+
+    target = urlsplit(service.url)
+    connection = http.client.HTTPConnection(target.hostname, target.port, timeout=30)
+    body = json.dumps({"query": ITEM_NAMES})
+    headers = {"Content-Type": "application/json"}
+
+    def round_trip():
+        connection.request("POST", "/query", body, headers)
+        reply = connection.getresponse()
+        reply.read()
+        assert reply.status == 200
+
+    try:
+        round_trip()  # plans the query; the timed requests hit the plan cache
+        started = time.perf_counter()
+        for _ in range(20):
+            round_trip()
+        elapsed = time.perf_counter() - started
+    finally:
+        connection.close()
+    assert elapsed < 0.4, f"20 keep-alive requests took {elapsed * 1000:.0f} ms"
+
+
 def test_service_url_requires_running_server():
     from repro.errors import ServiceError
 

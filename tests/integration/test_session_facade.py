@@ -1,7 +1,5 @@
-"""End-to-end façade behaviour: shim identity, pool persistence, DDL flow.
+"""End-to-end façade behaviour: pool persistence, DDL flow.
 
-* the deprecated ``Rewriter.answer`` shim must keep working — one
-  ``DeprecationWarning`` per process, identical relations to the façade;
 * ``Database.query_many(workers=2)`` must answer exactly like the
   sequential path, reusing one persistent pool across calls and surviving
   ``close()`` (which only releases the processes);
@@ -10,12 +8,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-import repro.rewriting.rewriter as rewriter_module
-from repro import Database, Rewriter, parse_pattern
+from repro import Database, parse_pattern
 
 ITEM_NAMES = "site(//item[ID](/name[V]))"
 KEYWORDS = "site(//keyword[ID,V])"
@@ -28,30 +23,6 @@ def db(auction_document):
     database.create_view(KEYWORDS, name="keywords")
     yield database
     database.close()
-
-
-# --------------------------------------------------------------------------- #
-# deprecation shim
-# --------------------------------------------------------------------------- #
-def test_rewriter_answer_shim_warns_once_and_matches_facade(
-    db, auction_summary
-):
-    rewriter = Rewriter(auction_summary, list(db.views))
-    query = parse_pattern(ITEM_NAMES, name="q")
-
-    rewriter_module._answer_deprecation_emitted = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim_answer = rewriter.answer(query)
-        rewriter.answer(query)  # second call: no second warning
-    deprecations = [w for w in caught if w.category is DeprecationWarning]
-    assert len(deprecations) == 1, "exactly one DeprecationWarning per process"
-    assert "Database" in str(deprecations[0].message)
-
-    facade_answer = db.query(ITEM_NAMES, name="q")
-    assert shim_answer.same_contents(facade_answer), (
-        "the shim and the façade must produce identical relations"
-    )
 
 
 # --------------------------------------------------------------------------- #

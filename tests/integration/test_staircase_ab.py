@@ -25,6 +25,7 @@ import pytest
 
 from repro import MaterializedView, build_summary
 from repro.algebra.execution import PlanExecutor
+from repro.planning.planner import Planner
 from repro.rewriting.algorithm import RewritingConfig
 from repro.rewriting.rewriter import Rewriter
 from repro.workloads.dblp import generate_dblp_document
@@ -147,7 +148,7 @@ def test_fig14_dblp_workload_merge_equals_oracle():
 
 
 def test_default_executor_is_the_merge_path(xmark_fixture):
-    """`Rewriter.answer` (the production path) runs the merge executor and
+    """`Planner.answer` (the production path) runs the merge executor and
     still agrees with a from-scratch oracle execution of the chosen plan."""
     summary, views, queries, config = xmark_fixture
     rewriter = Rewriter(summary, views, config)
@@ -155,7 +156,7 @@ def test_default_executor_is_the_merge_path(xmark_fixture):
     outcome = rewriter.rewrite(query)
     if not outcome.found:  # pragma: no cover - workload-dependent guard
         pytest.skip("the first XMark query has no rewriting under this view set")
-    answer = rewriter.answer(query)
+    answer = Planner(rewriter).answer(query)
     oracle = PlanExecutor(
         rewriter.views, structural_join_strategy="nested-loop"
     ).execute(outcome.best.plan)

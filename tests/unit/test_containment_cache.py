@@ -168,6 +168,48 @@ class TestContainmentDeadline:
             assert is_contained(pattern, pattern, auction_summary,
                                 check_attributes=False)
 
+    def test_deadlines_are_per_thread(self):
+        # thread B enters an already-expired deadline, then thread A enters
+        # a far one; B's deadline must never abort A's tests, and B leaving
+        # its block must not restore anything into A
+        import threading
+        import time as time_module
+
+        import repro.containment.core as core
+
+        far = time_module.perf_counter() + 60.0
+        b_inside, a_checked, b_left = (threading.Event() for _ in range(3))
+        observed: dict = {}
+
+        def thread_b():
+            with containment_deadline(0.0):
+                b_inside.set()
+                a_checked.wait(10)
+            b_left.set()
+
+        def thread_a():
+            b_inside.wait(10)
+            with containment_deadline(far):
+                try:
+                    core._check_deadline()
+                    observed["check_while_b_inside"] = "ok"
+                except ContainmentBudgetExceeded:
+                    observed["check_while_b_inside"] = "aborted"
+                finally:
+                    a_checked.set()
+                b_left.wait(10)
+                observed["deadline_after_b_left"] = core._deadline.get()
+
+        threads = [threading.Thread(target=thread_b), threading.Thread(target=thread_a)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert observed["check_while_b_inside"] == "ok"
+        assert observed["deadline_after_b_left"] == far
+        assert core._deadline.get() is None, "the main thread never armed one"
+
 
 class TestCacheMechanics:
     def test_lru_eviction(self):

@@ -250,7 +250,6 @@ def test_metrics_render_requests_and_database_gauges(app):
     assert "service_plan_cache_misses 1" in text
     assert "service_plan_cache_hit_rate 0.5" in text
     assert "service_views 1" in text
-    assert "service_extent_publishes 0" in text
     assert 'service_maintenance_operations{path="delta_applied"} 0' in text
 
 
